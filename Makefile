@@ -3,13 +3,19 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-gate fmt vet serve-smoke chaos-smoke slo-smoke shard-smoke learn-smoke learn-shard-smoke trace-overhead ci
+.PHONY: build test placebench-test race bench bench-gate fmt vet serve-smoke chaos-smoke slo-smoke shard-smoke learn-smoke learn-shard-smoke trace-overhead ci
 
 build:
 	$(GO) build ./...
 
-test:
+test: placebench-test
 	$(GO) test ./...
+
+## placebench-test: the benchmark module's own unit tests. placebench is a
+## separate module (replace adrias => ../), so the root ./... never reaches
+## it; the unit-test CI job runs this as its own step.
+placebench-test:
+	cd placebench && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...

@@ -8,6 +8,7 @@ package cluster
 
 import (
 	"fmt"
+	"sort"
 
 	"adrias/internal/memsys"
 	"adrias/internal/randutil"
@@ -237,13 +238,26 @@ func (c *Cluster) FabricBytesMoved() float64 {
 	return c.node.Fabric().Counters().BytesMoved
 }
 
+// HistoryBetween returns the monitoring records with Time in (from, to],
+// found by binary search: records are appended once per tick in time
+// order, so the range is one contiguous run and the cost is O(log n) in
+// the retained history, not O(n). The result aliases the history (nil when
+// the range is empty); callers must not modify it.
+func (c *Cluster) HistoryBetween(from, to float64) []TickRecord {
+	h := c.history
+	lo := sort.Search(len(h), func(i int) bool { return h[i].Time > from })
+	hi := sort.Search(len(h), func(i int) bool { return h[i].Time > to })
+	if lo >= hi {
+		return nil
+	}
+	return h[lo:hi]
+}
+
 // SamplesBetween returns the recorded samples with Time in (from, to].
 func (c *Cluster) SamplesBetween(from, to float64) []memsys.Sample {
 	var out []memsys.Sample
-	for _, r := range c.history {
-		if r.Time > from && r.Time <= to {
-			out = append(out, r.Sample)
-		}
+	for _, r := range c.HistoryBetween(from, to) {
+		out = append(out, r.Sample)
 	}
 	return out
 }

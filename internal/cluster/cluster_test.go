@@ -167,6 +167,54 @@ func TestSamplesBetween(t *testing.T) {
 	}
 }
 
+// TestHistoryBetweenMatchesLinearScan pins the binary-searched (from, to]
+// range against the plain linear filter it replaced: exact tick times on
+// both ends, points between ticks, ranges before the first and after the
+// last record, empty ranges, and from ≥ to.
+func TestHistoryBetweenMatchesLinearScan(t *testing.T) {
+	c := New(DefaultConfig())
+	c.Deploy(registry.ByName("gmm"), memsys.TierLocal)
+	c.Run(40)
+	hist := c.History()
+	if len(hist) < 30 {
+		t.Fatalf("history = %d records, want ≥ 30", len(hist))
+	}
+	linear := func(from, to float64) []TickRecord {
+		var out []TickRecord
+		for _, r := range hist {
+			if r.Time > from && r.Time <= to {
+				out = append(out, r)
+			}
+		}
+		return out
+	}
+	first, last := hist[0].Time, hist[len(hist)-1].Time
+	points := []float64{first - 5, first - 0.5, first, first + 0.5, hist[7].Time,
+		hist[7].Time + 0.25, hist[20].Time, last - 0.5, last, last + 0.5, last + 10}
+	for _, from := range points {
+		for _, to := range points {
+			got, want := c.HistoryBetween(from, to), linear(from, to)
+			if len(got) != len(want) {
+				t.Fatalf("(%g, %g]: %d records, want %d", from, to, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("(%g, %g] record %d = %+v, want %+v", from, to, i, got[i], want[i])
+				}
+			}
+			if from >= to && got != nil {
+				t.Errorf("(%g, %g] with from ≥ to returned %d records", from, to, len(got))
+			}
+		}
+	}
+	if got := c.HistoryBetween(hist[7].Time, hist[7].Time+0.25); got != nil {
+		t.Errorf("range between two ticks returned %d records, want none", len(got))
+	}
+	if got := New(DefaultConfig()).HistoryBetween(0, 100); got != nil {
+		t.Errorf("empty history returned %d records", len(got))
+	}
+}
+
 func TestRunUntilDrainedTimeout(t *testing.T) {
 	c := New(DefaultConfig())
 	c.Deploy(registry.ByName("nweight"), memsys.TierLocal) // 85 s base

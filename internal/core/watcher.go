@@ -86,14 +86,14 @@ func (w *Watcher) WindowInto(c *cluster.Cluster) []mathx.Vector {
 	return w.out
 }
 
-// TraceBetween extracts the raw metric trace between two simulation times —
-// used to capture an application's signature from its in-situ run.
+// TraceBetween extracts the raw metric trace with Time in (from, to] —
+// used to capture an application's signature from its in-situ run and to
+// join realized future states back to decisions. The range is located by
+// binary search, so the cost does not grow with retained history.
 func (w *Watcher) TraceBetween(c *cluster.Cluster, from, to float64) []mathx.Vector {
 	var out []mathx.Vector
-	for _, r := range c.History() {
-		if r.Time > from && r.Time <= to {
-			out = append(out, mathx.Vector(r.Sample.Vector()))
-		}
+	for _, r := range c.HistoryBetween(from, to) {
+		out = append(out, mathx.Vector(r.Sample.Vector()))
 	}
 	return out
 }

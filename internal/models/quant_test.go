@@ -182,6 +182,87 @@ func TestQuantPerfCacheAndZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestPredictionIndependentOfBatch pins the property the serve layer's
+// per-window prediction memo relies on: a sample's prediction does not
+// depend on its batch neighbours. Every sample predicted alone must equal
+// its value inside a mixed batch bit for bit — mixed apps, both tiers, a
+// window shared by identity across several samples, and an equal-valued
+// copy of it — on both the float and the int8 path.
+func TestPredictionIndependentOfBatch(t *testing.T) {
+	be, sigs := buildPerfFixtures(t)
+	train, _ := dataset.Split(len(be), 0.6, 13)
+	m := NewPerfModel(tinyPerfConfig(), sigs)
+	if err := m.Fit(be, train); err != nil {
+		t.Fatal(err)
+	}
+
+	shared := be[0].Past
+	copied := make([]mathx.Vector, len(shared))
+	for i, r := range shared {
+		copied[i] = r.Clone()
+	}
+	batch := make([]PerfSample, 0, 16)
+	for i := 0; i < 10; i++ {
+		s := be[i]
+		s.Remote = float64(i % 2)
+		batch = append(batch, s)
+	}
+	for i := 10; i < 14; i++ {
+		s := be[i]
+		s.Past = shared
+		s.Remote = float64(i % 2)
+		batch = append(batch, s)
+	}
+	dup := be[3]
+	dup.Past = copied
+	batch = append(batch, dup, be[3]) // same inputs twice, window by value and by identity
+	apps := map[string]bool{}
+	for _, s := range batch {
+		apps[s.App] = true
+	}
+	if len(apps) < 3 {
+		t.Fatalf("fixture covers %d apps, want a mix", len(apps))
+	}
+
+	check := func(path string, alone func(i int) (float64, error), inBatch mathx.Vector, errs []error) {
+		t.Helper()
+		for i := range batch {
+			if errs[i] != nil {
+				t.Fatalf("%s: sample %d: %v", path, i, errs[i])
+			}
+			got, err := alone(i)
+			if err != nil {
+				t.Fatalf("%s: sample %d alone: %v", path, i, err)
+			}
+			if math.Float64bits(got) != math.Float64bits(inBatch[i]) {
+				t.Errorf("%s: sample %d (%s, remote=%g): alone %v, in batch %v",
+					path, i, batch[i].App, batch[i].Remote, got, inBatch[i])
+			}
+		}
+	}
+
+	fp, ferrs := m.PredictEach(batch, Future120Actual)
+	check("float", func(i int) (float64, error) {
+		p, e := m.PredictEach(batch[i:i+1], Future120Actual)
+		return p[0], e[0]
+	}, fp, ferrs)
+
+	// Samples alone first, on a cold signature cache; then the batch.
+	q := QuantizePerf(m)
+	one, oneErr := mathx.NewVector(1), make([]error, 1)
+	solo := mathx.NewVector(len(batch))
+	for i := range batch {
+		q.PredictEachInto(batch[i:i+1], Future120Actual, one, oneErr)
+		if oneErr[0] != nil {
+			t.Fatalf("int8: sample %d alone: %v", i, oneErr[0])
+		}
+		solo[i] = one[0]
+	}
+	qp, qerrs := mathx.NewVector(len(batch)), make([]error, len(batch))
+	q.PredictEachInto(batch, Future120Actual, qp, qerrs)
+	check("int8", func(i int) (float64, error) { return solo[i], nil }, qp, qerrs)
+}
+
 // TestQuantizeUntrainedPanics: freezing an unfitted model is a programming
 // error, not a recoverable condition.
 func TestQuantizeUntrainedPanics(t *testing.T) {

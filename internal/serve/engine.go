@@ -160,6 +160,10 @@ type SystemEngine struct {
 	shardDecisions atomic.Uint64 // decisions made by replica shards
 	shardReclones  atomic.Uint64 // shard stacks re-cloned after a promotion
 	dupFinalizes   atomic.Uint64 // double-finalize attempts caught by the guard
+	// noPredictMemo builds shard stacks without the prediction memo — the
+	// reference side of the memo-on/off equivalence tests; never set
+	// outside them.
+	noPredictMemo bool
 
 	// PlaceBatchInto scratch, reused across batches under mu.
 	batProfiles []*workload.Profile
@@ -878,6 +882,13 @@ func (e *SystemEngine) RegisterMetrics(m *Metrics) {
 		obs.WriteCounter(w, "adrias_serve_shard_reclones_total", "Shard inference stacks re-cloned after a model promotion.", e.shardReclones.Load())
 		obs.WriteCounter(w, "adrias_serve_finalize_dups_total", "Double-finalize attempts on retry items caught by the claim guard.", e.dupFinalizes.Load())
 		e.shardMu.Lock()
+		var memoHits, memoMisses uint64
+		for _, sh := range e.shards {
+			memoHits += sh.memo.Hits.Load()
+			memoMisses += sh.memo.Misses.Load()
+		}
+		obs.WriteCounter(w, "adrias_serve_predict_memo_hits_total", "Shard prediction queries answered from the per-window memo.", memoHits)
+		obs.WriteCounter(w, "adrias_serve_predict_memo_misses_total", "Shard prediction queries the memo sent to the models.", memoMisses)
 		if len(e.shards) > 0 {
 			name := "adrias_serve_shard_generation"
 			fmt.Fprintf(w, "# HELP %s Model generation each replica shard currently serves.\n# TYPE %s gauge\n", name, name)

@@ -182,6 +182,10 @@ type engineShard struct {
 	// batch instead of discovering the mismatch by the generation compare.
 	stale atomic.Bool
 
+	// memo counts the shard's prediction-memo hits and misses across every
+	// stack it builds (a re-clone replaces the memo, not the counters).
+	memo core.MemoStats
+
 	// batch scratch, reused across batches.
 	profiles []*workload.Profile
 	idx      []int
@@ -190,11 +194,12 @@ type engineShard struct {
 }
 
 // NewShard mints replica decider id over this engine's rack state: a clone
-// of the float models (plus, when configured, a per-shard quantized twin
-// and fault/breaker wrappers sharing the engine's injector and breaker —
-// both concurrency-safe) and an independent orchestrator scratch. The
-// signature store is shared: it is internally locked, so in-situ captures
-// on the commit path become visible to every shard immediately. With the
+// of the float models (plus, when configured, a per-shard quantized twin),
+// a per-window prediction memo, fault/breaker wrappers sharing the engine's
+// injector and breaker (both concurrency-safe), and an independent
+// orchestrator scratch. The signature store is shared: it is internally
+// locked, so in-situ captures on the commit path become visible to every
+// shard immediately. With the
 // online learning loop armed, the clone source is the loop's current live
 // generation and the shard re-clones whenever a promotion moves it
 // (maybeReclone), so hot-swap propagates to every replica within one batch.
@@ -203,11 +208,11 @@ func (e *SystemEngine) NewShard(id int) Engine {
 	if e.learner != nil {
 		gen, pred = e.learner.Live()
 	}
-	clone, infer := e.shardStack(pred)
-	orch := core.NewOrchestrator(clone, e.watch, e.cfg.Beta)
-	orch.QoSMs = e.orch.QoSMs // read-only after engine construction
-	orch.Infer = infer
-	s := &engineShard{id: id, eng: e, orch: orch}
+	s := &engineShard{id: id, eng: e}
+	clone, infer := e.shardStack(pred, &s.memo)
+	s.orch = core.NewOrchestrator(clone, e.watch, e.cfg.Beta)
+	s.orch.QoSMs = e.orch.QoSMs // read-only after engine construction
+	s.orch.Infer = infer
 	s.gen.Store(int64(gen))
 	e.shardMu.Lock()
 	e.shards = append(e.shards, s)
@@ -217,9 +222,14 @@ func (e *SystemEngine) NewShard(id int) Engine {
 
 // shardStack clones pred's float models and wraps the shard-local inference
 // stack around them — quantized twin, fault injection, breaker — in the
-// same order as the engine's own stack, minus the swappable slot: a shard
-// tracks promotions by re-cloning, not by sharing the hot-swap pointer.
-func (e *SystemEngine) shardStack(pred *core.Predictor) (*core.Predictor, core.PerfInference) {
+// same order as the engine's own stack, minus the swappable slot (a shard
+// tracks promotions by re-cloning, not by sharing the hot-swap pointer)
+// and plus a prediction memo directly on the base predictor. Under the
+// fault wrappers, the memo leaves injected faults and the breaker seeing
+// every batch. It keys on the immutable rackView windows (one retained per
+// node) and lives and dies with the stack, so a re-clone after a promotion
+// starts it empty (DESIGN.md §16).
+func (e *SystemEngine) shardStack(pred *core.Predictor, memo *core.MemoStats) (*core.Predictor, core.PerfInference) {
 	clone := &core.Predictor{Sigs: pred.Sigs}
 	if pred.Sys != nil {
 		clone.Sys = pred.Sys.Clone()
@@ -233,6 +243,9 @@ func (e *SystemEngine) shardStack(pred *core.Predictor) (*core.Predictor, core.P
 	var infer core.PerfInference = clone
 	if e.cfg.Quantized {
 		infer = core.NewQuantPredictor(clone)
+	}
+	if !e.noPredictMemo {
+		infer = core.NewPerfMemo(infer, clone.Sigs, len(e.nodes), memo)
 	}
 	if e.cfg.Faults != nil {
 		infer = &faults.FaultyPredictor{Inner: infer, Inj: e.cfg.Faults}
@@ -261,7 +274,7 @@ func (s *engineShard) maybeReclone() {
 	e.mu.Lock()
 	s.stale.Store(false)
 	gen, pred := e.learner.Live()
-	clone, infer := e.shardStack(pred)
+	clone, infer := e.shardStack(pred, &s.memo)
 	e.mu.Unlock()
 	s.orch.Pred = clone
 	s.orch.Infer = infer
