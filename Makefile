@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test placebench-test race bench bench-gate fmt vet serve-smoke chaos-smoke slo-smoke shard-smoke learn-smoke learn-shard-smoke trace-overhead ci
+.PHONY: build test placebench-test race fuzz bench bench-gate fmt vet serve-smoke chaos-smoke slo-smoke shard-smoke learn-smoke learn-shard-smoke trace-overhead ci
 
 build:
 	$(GO) build ./...
@@ -19,6 +19,13 @@ placebench-test:
 
 race:
 	$(GO) test -race ./...
+
+## fuzz: the hand-rolled JSON codec against encoding/json — the fast
+## request parser and the response encoder, FUZZTIME (default 30s) each.
+FUZZTIME ?= 30s
+fuzz:
+	$(GO) test -run='^$$' -fuzz='^FuzzParsePlaceRequest$$' -fuzztime=$(FUZZTIME) ./internal/serve
+	$(GO) test -run='^$$' -fuzz='^FuzzAppendPlaceResponse$$' -fuzztime=$(FUZZTIME) ./internal/serve
 
 ## bench: one iteration of the CI smoke benchmarks (full suite: make bench BENCH=.)
 BENCH ?= ^(BenchmarkTable1SystemState|BenchmarkPerfFitWorkers)$$
@@ -86,4 +93,4 @@ learn-shard-smoke:
 trace-overhead:
 	./scripts/trace_overhead.sh
 
-ci: build fmt vet test race bench bench-gate serve-smoke chaos-smoke slo-smoke shard-smoke learn-smoke learn-shard-smoke trace-overhead
+ci: build fmt vet test race fuzz bench bench-gate serve-smoke chaos-smoke slo-smoke shard-smoke learn-smoke learn-shard-smoke trace-overhead

@@ -51,13 +51,14 @@
 // load after start, the induced-drift program the smoke test uses.
 //
 // -replicas runs N placement deciders over a shared versioned rack-state
-// view (DESIGN.md §14): each replica decides optimistically without the
+// view (DESIGN.md §14) — the default 1 is the single-shard case of the same
+// admission path: each replica decides optimistically without the
 // engine lock and commits its claims through a single sequencer; losers of
 // the commit race retry against the refreshed view and downgrade to safe
 // local with reason "commit-conflict" when the headroom is gone. -nodes
 // sizes the simulated rack — each node carries its own ThymesisFlow fabric
 // and remote pool, and placements choose which pool to claim (responses and
-// /debug/decisions carry the node). -learn composes with -replicas > 1:
+// /debug/decisions carry the node). -learn composes with -replicas:
 // each replica shard stamps the model generation it cloned from and
 // re-clones from the promoted live predictor within one batch of a hot
 // swap, so /debug/decisions records carry the generation ("model_gen") and
@@ -131,7 +132,7 @@ func main() {
 	learnEpochs := flag.Int("learn-epochs", 0, "candidate fit epochs (0: inherit the live model's configuration)")
 	ambientRampTo := flag.Float64("ambient-ramp-to", 0, "ambient rate to ramp toward after serving starts (0: no ramp)")
 	ambientRampSec := flag.Float64("ambient-ramp-sec", 0, "simulated seconds over which the ambient ramp completes")
-	replicas := flag.Int("replicas", 1, "replica placement deciders over the shared rack-state view")
+	replicas := flag.Int("replicas", 1, "replica placement deciders, each a shard deciding over the shared rack-state view and committing through one sequencer (1: a single shard)")
 	rackNodes := flag.Int("nodes", 1, "simulated rack size: nodes with their own fabric and remote pool")
 	sloSpec := flag.String("slo-spec", "", "per-objective SLO overrides, e.g. \"downgrade-rate:budget=0.05,fast=15/60@2,slow=120/480@1\" (empty: defaults)")
 	eventLog := flag.String("event-log", "", "append committed-admission wide events as JSONL to this file (empty: ring only)")

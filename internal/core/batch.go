@@ -118,9 +118,9 @@ func finitePred(v float64) bool {
 // Degraded modes: a per-query ErrBreakerOpen (the predictor circuit
 // breaker short-circuited) classifies as ReasonBreakerOpen and still uses
 // cached last-good predictions when the breaker delivered them; non-finite
-// predictions classify as ReasonPredictError; and when FabricDegraded
-// reports an impaired link, every remote verdict — including cold starts —
-// degrades to the safe local tier with ReasonFabricDegraded.
+// predictions classify as ReasonPredictError; and on an impaired fabric
+// (DecideBatchWindow's fabricDown) every remote verdict — including cold
+// starts — degrades to the safe local tier with ReasonFabricDegraded.
 //
 // ctx carries the observability plumbing: an obs.SpanRecorder (when
 // present) receives the "signature_lookup", model-prediction and "decide"
@@ -138,9 +138,8 @@ func (o *Orchestrator) DecideBatch(ctx context.Context, profiles []*workload.Pro
 // path that predicts into arenas (QuantPredictor) — a decide allocates
 // nothing. Like DecideBatch it must not run concurrently with itself.
 func (o *Orchestrator) DecideBatchInto(ctx context.Context, profiles []*workload.Profile, c *cluster.Cluster, ds []Decision) {
-	fabricDown := o.FabricDegraded != nil && o.FabricDegraded()
 	o.DecideBatchWindow(ctx, profiles, o.Watch.WindowInto(c),
-		c.CapacityLeftGB(memsys.TierRemote), fabricDown, 0, ds)
+		c.CapacityLeftGB(memsys.TierRemote), false, 0, ds)
 }
 
 // DecideBatchWindow is DecideBatchInto against an explicit view of the

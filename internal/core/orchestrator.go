@@ -116,10 +116,6 @@ type Orchestrator struct {
 	// Infer overrides the prediction path; nil uses Pred directly. Set it
 	// to stack fault injection or a circuit breaker over the predictor.
 	Infer PerfInference
-	// FabricDegraded, when set, reports whether the ThymesisFlow link is
-	// currently impaired; remote verdicts then degrade to the safe local
-	// tier with ReasonFabricDegraded. Consulted once per DecideBatch.
-	FabricDegraded func() bool
 	// MaxDecisions bounds the retained decision list (≤0: the
 	// DefaultMaxDecisions cap). Set before the first decision; the bound is
 	// fixed once recording starts. Retention is drop-oldest; Stats stays
@@ -128,11 +124,10 @@ type Orchestrator struct {
 
 	ring  []Decision // bounded retention, ring once full
 	start int        // index of the oldest retained decision
-	total uint64     // decisions ever recorded
 	stats OffloadStats
 
-	// DecideBatchInto scratch, reused across batches (the decide path is
-	// serialized by the caller — the serve engine's mutex).
+	// DecideBatchWindow scratch, reused across batches (the decide path is
+	// serialized by the caller; each serve shard owns its orchestrator).
 	batQueries []PerfQuery
 	batStart   []int
 }
@@ -165,7 +160,6 @@ func (o *Orchestrator) inference() PerfInference {
 // record retains one decision (drop-oldest past the bound) and feeds the
 // running stats counters, which stay exact regardless of retention.
 func (o *Orchestrator) record(d Decision) {
-	o.total++
 	o.stats.Total++
 	if d.Tier == memsys.TierRemote {
 		o.stats.Remote++
@@ -209,7 +203,7 @@ func (o *Orchestrator) LastDecision() (Decision, bool) {
 
 // TotalDecisions returns the number of decisions ever recorded, unaffected
 // by retention.
-func (o *Orchestrator) TotalDecisions() uint64 { return o.total }
+func (o *Orchestrator) TotalDecisions() uint64 { return uint64(o.stats.Total) }
 
 // Decide implements Scheduler. It is the single-application case of
 // DecideBatch: cold start → remote + capture, no history → safe local,

@@ -27,8 +27,8 @@ type Watcher struct {
 
 	// WindowInto scratch: raw tick rows and the resampled window, each a
 	// row-view slice over one flat backing vector. Like the models, a
-	// Watcher using WindowInto is not safe for concurrent use (the serve
-	// engine serializes the decide path under its mutex).
+	// Watcher using WindowInto is not safe for concurrent use (its
+	// orchestrator's decide path is serialized by the caller).
 	raw, out []mathx.Vector
 }
 
@@ -56,7 +56,7 @@ func (w *Watcher) Window(c *cluster.Cluster) []mathx.Vector {
 	return models.ResampleSeq(rows, w.Steps)
 }
 
-// WindowInto is the allocation-free twin of Window for the serve hot path:
+// WindowInto is the allocation-free twin of Window for the decide path:
 // it stages the current history window into watcher-owned scratch and
 // returns it, or nil when not yet Ready. The returned rows are valid until
 // the next WindowInto call; callers (DecideBatchInto) consume them within

@@ -14,6 +14,7 @@ type Outcome struct {
 	App    string
 	Class  workload.Class
 	Remote float64 // deployment mode actually run: 0 local, 1 remote
+	Node   int     // rack node the instance ran on
 	// Past is the resampled monitoring window the decision saw.
 	Past []mathx.Vector
 	// Future120/FutureExec are realized future-state means after arrival,

@@ -99,13 +99,12 @@ func (c Config) withDefaults() Config {
 
 // Deps wires the loop into the serve engine.
 type Deps struct {
-	// Base is the swappable slot at the bottom of the engine's inference
-	// stack; promotion retargets it.
-	Base *core.SwappableInference
-	// Live is the float predictor serving generation 1.
+	// Live is the float predictor serving generation 1. Promotions replace
+	// it; deciders pick the new generation up through Loop.Live.
 	Live *core.Predictor
-	// Quantized mirrors the engine's serving mode: promotions then target
-	// Base at a freshly quantized twin instead of the float predictor.
+	// Quantized mirrors the engine's serving mode: promotions then re-derive
+	// the int8 twin and check its decision-flip rate against the new float
+	// model (SwapEvent.QuantFlipRate).
 	Quantized bool
 	// Beta and QoSMs replicate the orchestrator's decision parameters for
 	// rule-level flip computation (QoSMs is copied at New).
@@ -157,8 +156,10 @@ type Placement struct {
 	TraceID string
 	App     string
 	Class   workload.Class
-	// Tier is the tier actually deployed (capacity fallbacks included).
+	// Tier and Node are where the placement actually deployed (capacity
+	// fallbacks included).
 	Tier memsys.Tier
+	Node int
 	// PredLocal/PredRem are the live decision's predictions (0 when the
 	// rule fell back without one).
 	PredLocal, PredRem float64
@@ -337,6 +338,7 @@ func (l *Loop) OnBatch(window []mathx.Vector, batch []Placement) {
 			app:      p.App,
 			class:    p.Class,
 			tier:     p.Tier,
+			node:     p.Node,
 			gen:      pgen,
 			remote:   remote,
 			predLive: predForTier(p.PredLocal, p.PredRem, p.Tier),
@@ -452,6 +454,7 @@ func (l *Loop) Complete(instID int, realized float64, fut120, futExec mathx.Vect
 		App:        pd.app,
 		Class:      pd.class,
 		Remote:     pd.remote,
+		Node:       pd.node,
 		Past:       pd.window,
 		Future120:  fut120,
 		FutureExec: futExec,
@@ -501,9 +504,10 @@ func (l *Loop) verdict(now float64) {
 }
 
 // promote hot-swaps the candidate in: it is rebound to the live signature
-// store, a new predictor generation is assembled around it, the int8 twin
-// is re-derived when serving quantized, and the engine's swappable slot is
-// atomically retargeted. Runs under mu on the engine's lock context, so
+// store, a new predictor generation is assembled around it, and — when
+// serving quantized — the re-derived int8 twin's flip rate is checked.
+// Deciders see the promotion through Generation/Live (and OnSwap) and
+// re-clone from it. Runs under mu on the engine's lock context, so
 // signature-store rebinding cannot race with in-situ captures.
 func (l *Loop) promote(now, liveErr, candErr, flipRate float64) {
 	l.cand.Rebind(l.live.Sigs)
@@ -515,11 +519,7 @@ func (l *Loop) promote(now, liveErr, candErr, flipRate float64) {
 	}
 	quantFlip := -1.0
 	if l.deps.Quantized {
-		quant := core.NewQuantPredictor(next)
-		quantFlip = l.quantFlipRate(next, quant)
-		l.deps.Base.Store(quant)
-	} else {
-		l.deps.Base.Store(next)
+		quantFlip = l.quantFlipRate(next, core.NewQuantPredictor(next))
 	}
 	l.live = next
 	newGen := l.candGen

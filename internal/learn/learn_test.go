@@ -23,7 +23,6 @@ func testWindow() []mathx.Vector {
 func newTestLoop(t *testing.T, cfg Config) *Loop {
 	t.Helper()
 	return New(cfg, Deps{
-		Base: core.NewSwappableInference(&core.Predictor{}),
 		Live: &core.Predictor{},
 		Beta: 0.8,
 	})

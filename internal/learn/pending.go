@@ -17,6 +17,7 @@ type pending struct {
 	app     string
 	class   workload.Class
 	tier    memsys.Tier
+	node    int
 	gen     int     // live model generation at decision time
 	remote  float64 // 0 local, 1 remote (tier actually deployed)
 	// predLive is the live model's prediction for the deployed tier

@@ -115,13 +115,14 @@ func (c EngineConfig) withDefaults(histTicks int) EngineConfig {
 // SystemEngine serves placements from a trained Adrias predictor against a
 // live simulated testbed. The testbed advances in simulated time through
 // Advance (driven by a wall-clock ticker in cmd/adrias-serve); placement
-// requests are decided — and, unless DryRun, deployed — against its current
-// monitoring window. One mutex serializes batches and ticks: the Engine is
-// called with whole coalesced batches, so the lock is taken once per batch,
-// not once per request.
+// requests are decided by replica shards (rack.go) over the published rack
+// view and — unless DryRun — deployed through the engine's single commit
+// sequencer. The engine mutex guards all live testbed state: commits and
+// ticks take it, decides never do.
 type SystemEngine struct {
 	mu    sync.Mutex
-	orch  *core.Orchestrator
+	pred  *core.Predictor // generation-1 models: the shards' clone source
+	qosMs map[string]float64
 	watch *core.Watcher
 	reg   *workload.Registry
 	cl    *cluster.Cluster
@@ -129,12 +130,15 @@ type SystemEngine struct {
 	rng   *randutil.Source
 	cfg   EngineConfig
 	audit *obs.AuditLog   // nil until RegisterObs
-	brk   *faults.Breaker // nil when DisableBreaker
-	// base is the swappable slot at the bottom of the inference stack; the
-	// learning loop retargets it on promotion. learner is nil unless
-	// EngineConfig.Learn is set.
-	base    *core.SwappableInference
+	brk   *faults.Breaker // nil when DisableBreaker; shared by every shard
+	// learner is nil unless EngineConfig.Learn is set.
 	learner *learn.Loop
+
+	// primary is the shard behind the engine's own PlaceBatch, minted on
+	// first use with primaryShardID; primaryMu serializes its callers (a
+	// shard serves one batch at a time) and orders before mu.
+	primaryMu sync.Mutex
+	primary   *engineShard
 
 	// nodes is the rack (nodes[0] == cl, the legacy single-node alias). All
 	// live node state is guarded by mu — the commit sequencer; replica
@@ -153,23 +157,17 @@ type SystemEngine struct {
 	shardMu sync.Mutex
 	shards  []*engineShard
 	// Optimistic-commit telemetry, exported on /metrics.
-	conflicts      atomic.Uint64 // remote claims that lost the commit race
-	commitRetries  atomic.Uint64 // conflict losers re-decided from the ring
-	downgrades     atomic.Uint64 // losers downgraded to the safe local tier
-	retryDrops     atomic.Uint64 // losers evicted from the full retry ring
-	shardDecisions atomic.Uint64 // decisions made by replica shards
-	shardReclones  atomic.Uint64 // shard stacks re-cloned after a promotion
-	dupFinalizes   atomic.Uint64 // double-finalize attempts caught by the guard
+	conflicts     atomic.Uint64 // remote claims that lost the commit race
+	commitRetries atomic.Uint64 // conflict losers re-decided from the ring
+	downgrades    atomic.Uint64 // losers downgraded to the safe local tier
+	retryDrops    atomic.Uint64 // losers evicted from the full retry ring
+	decisions     atomic.Uint64 // decisions emitted, dry runs included
+	shardReclones atomic.Uint64 // shard stacks re-cloned after a promotion
+	dupFinalizes  atomic.Uint64 // double-finalize attempts caught by the guard
 	// noPredictMemo builds shard stacks without the prediction memo — the
-	// reference side of the memo-on/off equivalence tests; never set
-	// outside them.
+	// reference side of the memo-on/off equivalence tests and the kernel
+	// benchmarks; never set outside tests.
 	noPredictMemo bool
-
-	// PlaceBatchInto scratch, reused across batches under mu.
-	batProfiles []*workload.Profile
-	batIdx      []int
-	batDS       []core.Decision
-	batPlace    []learn.Placement
 
 	ambientStarted uint64
 	// serveStart anchors the ambient-rate ramp (simulated time at the end
@@ -190,10 +188,10 @@ type SystemEngine struct {
 	// audit records without the engine lock. events is fixed at construction.
 	slo    atomic.Pointer[obs.SLO]
 	events *obs.EventSink
-	// Cumulative decision counters feeding the SLO objective sources; the
-	// tick counters track Advance calls and how many of them saw the breaker
-	// not closed (breaker-open-time objective).
-	sloDecisions   atomic.Uint64
+	// Cumulative decision counters feeding the SLO objective sources (with
+	// decisions as the total); the tick counters track Advance calls
+	// and how many of them saw the breaker not closed (breaker-open-time
+	// objective).
 	sloDowngrades  atomic.Uint64
 	sloPredictErrs atomic.Uint64
 	sloTicks       atomic.Uint64
@@ -225,7 +223,8 @@ func NewSystemEngine(pred *core.Predictor, watch *core.Watcher, reg *workload.Re
 	}
 
 	e := &SystemEngine{
-		orch:   core.NewOrchestrator(pred, watch, cfg.Beta),
+		pred:   pred,
+		qosMs:  make(map[string]float64),
 		watch:  watch,
 		reg:    reg,
 		cl:     nodes[0],
@@ -237,7 +236,7 @@ func NewSystemEngine(pred *core.Predictor, watch *core.Watcher, reg *workload.Re
 	}
 	if cfg.QoSFactor > 0 {
 		for _, p := range reg.LC() {
-			e.orch.QoSMs[p.Name] = p.BaseP50Ms * cfg.QoSFactor
+			e.qosMs[p.Name] = p.BaseP50Ms * cfg.QoSFactor
 		}
 	}
 	// In-situ signature capture for cold-started apps, write-through the
@@ -250,41 +249,26 @@ func NewSystemEngine(pred *core.Predictor, watch *core.Watcher, reg *workload.Re
 			e.captureOutcome(c, in)
 		}
 	}
-	// Degradation stack over the prediction path: the swappable slot at the
-	// bottom (the learning loop's hot-swap point), fault injection closest
-	// to the model, then the circuit breaker + last-good cache on top, so
-	// the breaker sees injected failures exactly as it would real ones.
-	var inner core.PerfInference = pred
-	if cfg.Quantized {
-		inner = core.NewQuantPredictor(pred)
-	}
-	e.base = core.NewSwappableInference(inner)
-	var infer core.PerfInference = e.base
-	if cfg.Faults != nil {
-		infer = &faults.FaultyPredictor{Inner: infer, Inj: cfg.Faults}
-	}
+	// The circuit breaker is shared by every shard's degradation stack
+	// (shardStack), so a failing predictor trips it rack-wide.
 	if !cfg.DisableBreaker {
 		bcfg := cfg.Breaker
 		if bcfg.Clock == nil {
 			bcfg.Clock = e.SimNow
 		}
 		e.brk = faults.NewBreaker(bcfg)
-		infer = faults.NewGuardedPredictor(infer, e.brk)
 	}
-	e.orch.Infer = infer
 	if cfg.Learn != nil {
 		e.learner = learn.New(*cfg.Learn, learn.Deps{
-			Base:      e.base,
 			Live:      pred,
 			Quantized: cfg.Quantized,
 			Beta:      cfg.Beta,
-			QoSMs:     e.orch.QoSMs,
+			QoSMs:     e.qosMs,
 			SimNow:    e.SimNow,
 			OnSwap:    e.recordSwap,
 			OnOutcome: e.recordOutcome,
 		})
 	}
-	e.orch.FabricDegraded = e.cl.Node().Fabric().Degraded
 	if cfg.Faults != nil {
 		// Impose the scheduled fabric state after every tick resolution (it
 		// binds from the next tick — fault windows span many ticks). The
@@ -435,6 +419,7 @@ func (e *SystemEngine) recordOutcome(o learn.Outcome) {
 		App:        o.App,
 		Class:      o.Class.String(),
 		Tier:       tier.String(),
+		Node:       o.Node,
 		PredLocalS: o.PredLive,
 		RealizedS:  o.Realized,
 		ModelGen:   o.Gen,
@@ -467,9 +452,6 @@ func (e *SystemEngine) AttachSLO(s *obs.SLO) {
 	e.slo.Store(s)
 }
 
-// SLO returns the attached evaluator (nil before AttachSLO).
-func (e *SystemEngine) SLO() *obs.SLO { return e.slo.Load() }
-
 // sloStateLabel returns the overall SLO state as a constant string for
 // stamping into records — "" before AttachSLO, so the hot path pays one
 // atomic load and no allocation.
@@ -480,22 +462,10 @@ func (e *SystemEngine) sloStateLabel() string {
 	return ""
 }
 
-// countDecision feeds one decision's reason into the cumulative SLO
-// counters. Lock-free; called on every decided placement, dry-run or not.
-func (e *SystemEngine) countDecision(reason string) {
-	e.sloDecisions.Add(1)
-	if core.IsDowngradeReason(reason) {
-		e.sloDowngrades.Add(1)
-	}
-	if core.IsPredictFailureReason(reason) {
-		e.sloPredictErrs.Add(1)
-	}
-}
-
 // SLOCounters returns the cumulative decision/downgrade/predict-failure and
 // tick/breaker-open counts backing the SLO objective sources.
 func (e *SystemEngine) SLOCounters() (decisions, downgrades, predictErrs, ticks, breakerOpen uint64) {
-	return e.sloDecisions.Load(), e.sloDowngrades.Load(), e.sloPredictErrs.Load(),
+	return e.decisions.Load(), e.sloDowngrades.Load(), e.sloPredictErrs.Load(),
 		e.sloTicks.Load(), e.sloBreakerOpen.Load()
 }
 
@@ -523,161 +493,20 @@ type sampleEvent struct {
 	Running int       `json:"running"`
 }
 
-// PlaceBatch implements Engine: one lock acquisition, one DecideBatch (one
-// Ŝ forecast + one batched inference per performance model) for the whole
-// coalesced batch. Unknown applications fail individually with
-// ErrUnknownApp; the rest of the batch is unaffected. ctx carries the
-// batch's obs.SpanRecorder through to the orchestrator's pipeline stages;
-// every decision is recorded in the audit log (when RegisterObs wired one)
-// and published on the configured bus.
+// PlaceBatch implements Engine for direct callers: a serialized call into
+// one primary shard, the single-replica case of the rack path (rack.go) —
+// one optimistic decide against the published view (one Ŝ forecast + one
+// batched inference per performance model), then one sequencer commit.
+// Unknown applications fail individually with ErrUnknownApp; the rest of
+// the batch is unaffected. ctx carries the batch's obs.SpanRecorder
+// through to the orchestrator's pipeline stages.
 func (e *SystemEngine) PlaceBatch(ctx context.Context, reqs []PlaceRequest) []PlaceResult {
-	results := make([]PlaceResult, len(reqs))
-	e.PlaceBatchInto(ctx, reqs, results)
-	return results
-}
-
-// PlaceBatchInto is the allocation-free core of PlaceBatch: results[i]
-// (caller-owned, len(reqs)) answers reqs[i], and all batch scratch lives on
-// the engine. In steady state — fixed batch shape, warm arenas, a quantized
-// prediction path (EngineConfig.Quantized), decision ring at its bound, no
-// audit log or bus, and DryRun requests — a batch allocates nothing; the
-// bench-gate CI job pins that on the decode→decide→encode benchmark.
-func (e *SystemEngine) PlaceBatchInto(ctx context.Context, reqs []PlaceRequest, results []PlaceResult) {
-	if len(results) != len(reqs) {
-		panic("serve: PlaceBatchInto output length mismatch")
+	e.primaryMu.Lock()
+	defer e.primaryMu.Unlock()
+	if e.primary == nil {
+		e.primary = e.NewShard(primaryShardID).(*engineShard)
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-
-	if cap(e.batProfiles) < len(reqs) {
-		e.batProfiles = make([]*workload.Profile, 0, len(reqs))
-		e.batIdx = make([]int, 0, len(reqs))
-		e.batDS = make([]core.Decision, len(reqs))
-	}
-	profiles := e.batProfiles[:0]
-	idx := e.batIdx[:0]
-	for i, r := range reqs {
-		results[i] = PlaceResult{App: r.App, TraceID: r.TraceID}
-		p := e.reg.ByName(r.App)
-		if p == nil {
-			results[i].Err = fmt.Errorf("%w: %q", ErrUnknownApp, r.App)
-			continue
-		}
-		results[i].Class = p.Class
-		profiles = append(profiles, p)
-		idx = append(idx, i)
-	}
-	e.batProfiles, e.batIdx = profiles, idx
-	if len(profiles) == 0 {
-		return
-	}
-	ds := e.batDS[:len(profiles)]
-	e.orch.DecideBatchInto(ctx, profiles, e.cl, ds)
-	now := time.Now()
-	modelGen := 0
-	if e.learner != nil {
-		modelGen = e.learner.Generation()
-	}
-	place := e.batPlace[:0]
-	deployed := false
-	sloState := e.sloStateLabel()
-	for k, i := range idx {
-		d := ds[k]
-		results[i].Tier = d.Tier
-		results[i].Node = d.Node
-		results[i].PredLocalS = d.PredLocal
-		results[i].PredRemS = d.PredRem
-		results[i].ColdStart = d.ColdStart
-		results[i].Fallback = d.Fallback
-		results[i].Reason = d.Reason
-		e.countDecision(d.Reason)
-		if !reqs[i].DryRun {
-			deployed = true
-			in := e.cl.Deploy(profiles[k], d.Tier)
-			if e.learner != nil && in != nil && in.Profile.Class != workload.Interference {
-				// Note in.Tier, not d.Tier: Deploy may fall back on capacity.
-				place = append(place, learn.Placement{
-					InstID:    in.ID,
-					TraceID:   reqs[i].TraceID,
-					App:       d.App,
-					Class:     in.Profile.Class,
-					Tier:      in.Tier,
-					PredLocal: d.PredLocal,
-					PredRem:   d.PredRem,
-					Gen:       modelGen,
-				})
-			}
-			if e.events != nil {
-				// The wide event records what actually committed: Deploy may
-				// fall back on capacity, so prefer the instance's tier.
-				tier := d.Tier
-				if in != nil {
-					tier = in.Tier
-				}
-				e.events.Record(obs.WideEvent{
-					Kind:        "admission",
-					TraceID:     reqs[i].TraceID,
-					Time:        now,
-					SimTime:     e.cl.Now(),
-					App:         d.App,
-					Class:       d.Class.String(),
-					Tier:        tier.String(),
-					Node:        d.Node,
-					Reason:      d.Reason,
-					PredLocalS:  d.PredLocal,
-					PredRemoteS: d.PredRem,
-					ColdStart:   d.ColdStart,
-					Fallback:    d.Fallback,
-					BatchSize:   len(profiles),
-					ModelGen:    modelGen,
-					SLOState:    sloState,
-				})
-			}
-		}
-		if e.audit != nil {
-			e.audit.Record(obs.DecisionRecord{
-				TraceID:     reqs[i].TraceID,
-				Time:        now,
-				SimTime:     e.cl.Now(),
-				App:         d.App,
-				Class:       d.Class.String(),
-				Tier:        d.Tier.String(),
-				Node:        d.Node,
-				PredLocalS:  d.PredLocal,
-				PredRemoteS: d.PredRem,
-				Beta:        e.orch.Beta,
-				QoSMs:       e.orch.QoSMs[d.App],
-				ColdStart:   d.ColdStart,
-				Fallback:    d.Fallback,
-				Reason:      d.Reason,
-				BatchSize:   len(profiles),
-				ModelGen:    modelGen,
-				SLOState:    sloState,
-			})
-		}
-		if e.cfg.Bus != nil {
-			_, _ = e.cfg.Bus.Publish("orchestrator.decisions", decisionEvent{
-				TraceID: reqs[i].TraceID, App: d.App, Class: d.Class.String(),
-				Tier: d.Tier.String(), Node: d.Node, PredLocal: d.PredLocal,
-				PredRem: d.PredRem, ColdStart: d.ColdStart, Reason: d.Reason,
-				ModelGen: modelGen,
-			})
-		}
-	}
-	e.batPlace = place
-	if deployed {
-		// The deploys changed node 0's occupancy: bump the view version and
-		// republish so concurrent shards see the claim they must not double-
-		// spend. Dry-run batches skip this — the hot path stays 0 allocs/op.
-		e.viewVer++
-		e.republishOccupancy()
-	}
-	if e.learner != nil && len(place) > 0 {
-		// The window the decisions saw (watcher scratch; the loop clones it
-		// once per batch). The shadow candidate, when active, predicts the
-		// same admissions here.
-		e.learner.OnBatch(e.watch.WindowInto(e.cl), place)
-	}
+	return e.primary.PlaceBatch(ctx, reqs)
 }
 
 // Advance moves the testbed simSec simulated seconds forward, injecting
@@ -826,7 +655,7 @@ func (e *SystemEngine) Snapshot() EngineStats {
 	defer e.mu.Unlock()
 	s := EngineStats{
 		SimTime:        e.cl.Now(),
-		Decisions:      int(e.orch.TotalDecisions() + e.shardDecisions.Load()),
+		Decisions:      int(e.decisions.Load()),
 		AmbientStarted: e.ambientStarted,
 		Ready:          e.watch.Ready(e.cl),
 		Nodes:          len(e.nodes),
@@ -878,7 +707,7 @@ func (e *SystemEngine) RegisterMetrics(m *Metrics) {
 		obs.WriteCounter(w, "adrias_serve_commit_retries_total", "Conflict losers re-decided against a refreshed view.", e.commitRetries.Load())
 		obs.WriteCounter(w, "adrias_serve_commit_downgrades_total", "Conflict losers downgraded to the safe local tier (reason commit-conflict).", e.downgrades.Load())
 		obs.WriteCounter(w, "adrias_serve_retry_dropped_total", "Conflict losers evicted from the full retry ring.", e.retryDrops.Load())
-		obs.WriteCounter(w, "adrias_serve_shard_decisions_total", "Placement decisions made by replica shards.", e.shardDecisions.Load())
+		obs.WriteCounter(w, "adrias_serve_shard_decisions_total", "Placement decisions made by the decider shards, dry runs included.", e.decisions.Load())
 		obs.WriteCounter(w, "adrias_serve_shard_reclones_total", "Shard inference stacks re-cloned after a model promotion.", e.shardReclones.Load())
 		obs.WriteCounter(w, "adrias_serve_finalize_dups_total", "Double-finalize attempts on retry items caught by the claim guard.", e.dupFinalizes.Load())
 		e.shardMu.Lock()
@@ -893,11 +722,12 @@ func (e *SystemEngine) RegisterMetrics(m *Metrics) {
 			name := "adrias_serve_shard_generation"
 			fmt.Fprintf(w, "# HELP %s Model generation each replica shard currently serves.\n# TYPE %s gauge\n", name, name)
 			for _, sh := range e.shards {
-				fmt.Fprintf(w, "%s{shard=\"%d\"} %d\n", name, sh.id, sh.gen.Load())
+				if sh.id != primaryShardID { // the direct-call shard is no replica
+					fmt.Fprintf(w, "%s{shard=\"%d\"} %d\n", name, sh.id, sh.gen.Load())
+				}
 			}
 		}
 		e.shardMu.Unlock()
-		obs.WriteCounter(w, "adrias_serve_decisions_total", "Placement decisions across all paths (engine + shards, dry runs included).", e.sloDecisions.Load())
 		obs.WriteCounter(w, "adrias_serve_downgrades_total", "Decisions downgraded to safe local by capacity, fabric, or commit pressure.", e.sloDowngrades.Load())
 		obs.WriteCounter(w, "adrias_serve_predict_failures_total", "Decisions produced by a failed or short-circuited prediction path.", e.sloPredictErrs.Load())
 		if v := e.view.Load(); v != nil {

@@ -182,16 +182,25 @@ func skipSpace(b []byte, i int) int {
 }
 
 // scanString scans a JSON string with no escapes, returning its raw bytes.
+// Control bytes (invalid JSON) and invalid UTF-8 (which encoding/json
+// decodes as U+FFFD) fall back too, so an accepted string is exactly the
+// one encoding/json would decode.
 func scanString(b []byte, i int) ([]byte, int, bool) {
 	if i >= len(b) || b[i] != '"' {
 		return nil, i, false
 	}
+	ascii := true
 	for j := i + 1; j < len(b); j++ {
-		switch b[j] {
-		case '\\':
-			return nil, i, false // escape: fall back to encoding/json
-		case '"':
+		switch c := b[j]; {
+		case c == '\\' || c < 0x20:
+			return nil, i, false // escape or control byte: fall back to encoding/json
+		case c == '"':
+			if !ascii && !utf8.Valid(b[i+1:j]) {
+				return nil, i, false
+			}
 			return b[i+1 : j], j + 1, true
+		case c >= utf8.RuneSelf:
+			ascii = false
 		}
 	}
 	return nil, i, false
@@ -207,45 +216,45 @@ func scanBool(b []byte, i int) (bool, int, bool) {
 	return false, i, false
 }
 
-// scanNumber parses a JSON number without allocating. The mantissa
-// accumulates in an int64 (bailing out past 18 digits), which is exact for
-// every deadline a client would reasonably send.
+// scanNumber parses a JSON number without allocating, on the exact path
+// only: JSON syntax (no leading zeros, digits on both sides of a dot), no
+// exponent, at most 15 significant digits. The mantissa and its power of
+// ten are then exact float64s, so the one division is correctly rounded —
+// the value strconv.ParseFloat returns. Everything else falls back to
+// encoding/json.
 func scanNumber(b []byte, i int) (float64, int, bool) {
 	j := i
-	neg := false
 	if j < len(b) && b[j] == '-' {
-		neg = true
 		j++
 	}
+	start, dot := j, -1 // dot: integer digits before the '.', once seen
 	var mant int64
-	digits, frac := 0, 0
-	seenDot := false
-	for j < len(b) {
+	digits := 0
+	for ; j < len(b); j++ {
 		c := b[j]
-		if c >= '0' && c <= '9' {
-			if digits >= 18 {
-				return 0, i, false
-			}
-			mant = mant*10 + int64(c-'0')
-			digits++
-			if seenDot {
-				frac++
-			}
-			j++
+		if c == '.' && dot < 0 {
+			dot = digits
 			continue
 		}
-		if c == '.' && !seenDot {
-			seenDot = true
-			j++
-			continue
+		if c < '0' || c > '9' {
+			break
 		}
-		break
+		if digits == 15 {
+			return 0, i, false // past the exact path
+		}
+		mant = mant*10 + int64(c-'0')
+		digits++
 	}
-	if digits == 0 || (j < len(b) && (b[j] == 'e' || b[j] == 'E')) {
-		return 0, i, false // exponents: fall back to encoding/json
+	intDigits, frac := digits, 0
+	if dot >= 0 {
+		intDigits, frac = dot, digits-dot
+	}
+	if intDigits == 0 || (dot >= 0 && frac == 0) || (b[start] == '0' && intDigits > 1) ||
+		(j < len(b) && (b[j] == 'e' || b[j] == 'E')) {
+		return 0, i, false // missing digits, a leading zero, or an exponent
 	}
 	v := float64(mant) / math.Pow10(frac)
-	if neg {
+	if b[i] == '-' {
 		v = -v
 	}
 	return v, j, true

@@ -134,7 +134,7 @@ func TestParsePlaceRequestFast(t *testing.T) {
 		`{"app":"x","deadline_ms":1e3}` /* exponent */, `{"app":}`,
 		`{"app":"x"`, `{"app":"x"}}`, `{"app":"x"} trailing`,
 		`{"dry_run":yes}`, `{"app":"x","dry_run":null}`,
-		`{"deadline_ms":99999999999999999999}`, // > 18 digits
+		`{"deadline_ms":99999999999999999999}`, // past the 15-digit exact path
 	}
 	var req PlaceHTTPRequest
 	for _, body := range reject {
@@ -279,10 +279,14 @@ func TestPlaceHandlerPoolHammer(t *testing.T) {
 }
 
 // hotPathFixture builds the decode→decide→encode loop the bench gate pins:
-// batch-8 placement bodies through the fast parser, PlaceBatchInto, and the
-// hand-rolled encoder, with every arena warm.
+// batch-8 placement bodies through the fast parser, a shard's
+// PlaceBatchInto, and the hand-rolled encoder, with every arena warm. The
+// shard runs without the prediction memo, so every batch runs the models —
+// the int8 and float kernels the gate compares — instead of hitting the
+// memo after the first iteration.
 type hotPathFixture struct {
 	eng     *SystemEngine
+	shard   *engineShard
 	names   *internTable
 	bodies  [][]byte
 	httpReq PlaceHTTPRequest
@@ -303,7 +307,8 @@ func newHotPathFixtureCfg(tb testing.TB, cfg EngineConfig) *hotPathFixture {
 		reqs:    make([]PlaceRequest, len(apps)),
 		results: make([]PlaceResult, len(apps)),
 	}
-	f.eng.orch.MaxDecisions = len(apps) // decision ring full after one batch
+	f.shard = unmemoizedShard(f.eng)
+	f.shard.orch.MaxDecisions = len(apps) // decision ring full after one batch
 	for _, a := range apps {
 		f.bodies = append(f.bodies, []byte(`{"app":"`+a+`","dry_run":true}`))
 	}
@@ -317,7 +322,7 @@ func (f *hotPathFixture) run(tb testing.TB, ctx context.Context) {
 		}
 		f.reqs[i] = PlaceRequest{App: f.httpReq.App, DryRun: f.httpReq.DryRun}
 	}
-	f.eng.PlaceBatchInto(ctx, f.reqs, f.results)
+	f.shard.PlaceBatchInto(ctx, f.reqs, f.results)
 	for i := range f.results {
 		r := &f.results[i]
 		resp := PlaceHTTPResponse{

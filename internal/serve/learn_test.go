@@ -72,6 +72,11 @@ func TestOnlineLearningLoopEndToEnd(t *testing.T) {
 			}
 		}
 		eng.Advance(60)
+		// A drift trip starts the candidate fit on a background goroutine;
+		// wait it out before ticking on, so the fit's wall-clock duration
+		// (slowed an order of magnitude under -race) cannot choose the
+		// simulated instant — and so the training data — of the candidate.
+		waitTrained(t, eng)
 		st = lp.Snapshot()
 		if round%50 == 0 {
 			es := eng.Snapshot()
@@ -80,11 +85,6 @@ func TestOnlineLearningLoopEndToEnd(t *testing.T) {
 		}
 		if st.Swaps >= 1 {
 			break
-		}
-		if st.State == learn.StateTraining {
-			// The candidate fits on a background goroutine; give it real time
-			// while the simulated clock keeps ticking.
-			time.Sleep(20 * time.Millisecond)
 		}
 	}
 	if st.Swaps < 1 {

@@ -61,12 +61,6 @@ func NewMetrics() *Metrics {
 	}
 }
 
-// AddGauge registers a scrape-time gauge. Not safe to call concurrently
-// with WritePrometheus; register everything before serving.
-func (m *Metrics) AddGauge(name, help string, read func() float64) {
-	m.AddBlock(func(w io.Writer) { obs.WriteGauge(w, name, help, read()) })
-}
-
 // AddBlock registers a scrape-time render function that may emit several
 // series at once — the engine uses one block to render every gauge off a
 // single state snapshot instead of locking per series. Not safe to call

@@ -57,15 +57,10 @@ func (e *SystemEngine) buildView() *rackView {
 
 // republishOccupancy publishes a fresh occupancy snapshot after commits,
 // reusing the current view's windows (occupancy moved; the tick did not).
-// Called under mu.
+// Called under mu; the constructor publishes the first view.
 func (e *SystemEngine) republishOccupancy() {
 	old := e.view.Load()
-	v := &rackView{ver: e.viewVer, occ: make([]cluster.NodeOccupancy, len(e.nodes))}
-	if old != nil {
-		v.time, v.win = old.time, old.win
-	} else {
-		v.win = make([][]mathx.Vector, len(e.nodes))
-	}
+	v := &rackView{ver: e.viewVer, time: old.time, win: old.win, occ: make([]cluster.NodeOccupancy, len(e.nodes))}
 	for i, c := range e.nodes {
 		v.occ[i] = c.Occupancy(i)
 	}
@@ -75,9 +70,6 @@ func (e *SystemEngine) republishOccupancy() {
 // View returns the published rack-state snapshot in its wire shape.
 func (e *SystemEngine) View() cluster.View {
 	v := e.view.Load()
-	if v == nil {
-		return cluster.View{}
-	}
 	return cluster.View{Version: v.ver, Time: v.time, Nodes: v.occ}
 }
 
@@ -88,25 +80,32 @@ const maxCommitRetries = 2
 // retryRingCap bounds the conflict-loser retry ring (drop-oldest past it).
 const retryRingCap = 256
 
+// admission is one decided request on its way out — the decision plus the
+// identity stamps every record of it carries. A dry run is emitted straight
+// from it; a claim carries it through commit inside a retryItem.
+type admission struct {
+	d       core.Decision
+	traceID string
+	batch   int
+	// gen/replica stamp the model generation that decided the request and
+	// the 1-based shard that owns it, carried through to the audit record
+	// even when another replica's drain loop finalizes the claim.
+	gen     int
+	replica int
+	res     *PlaceResult // the owner's result slot; written only by emit
+}
+
 // retryItem is one optimistic claim in flight through commit: decided by a
 // shard, committed by the sequencer, on conflict re-decided from the ring.
 // done is closed exactly once, when res is final; the owning shard blocks
 // on it, so whichever goroutine finalized the item happens-before the read.
 type retryItem struct {
+	admission
 	prof     *workload.Profile
-	d        core.Decision
-	traceID  string
-	batch    int
 	attempts int
-	// gen/replica stamp the model generation that decided the claim and the
-	// 1-based shard that owns it, carried through to the audit record even
-	// when another replica's drain loop finalizes the item.
-	gen     int
-	replica int
 	// win is the monitoring window the decision saw (immutable snapshot
 	// rows), so a committed claim can register with the learning loop.
 	win  []mathx.Vector
-	res  *PlaceResult // the owner's result slot; written only by the finalizer
 	done chan struct{}
 	// finalized guards the deploy+publish+close sequence: eviction by a
 	// pusher and the work-steal drain are disjoint under the ring mutex
@@ -118,8 +117,8 @@ type retryItem struct {
 
 // claimFinalize claims the right to finalize the item; exactly one caller
 // wins. Claim only at the point of definite finalization (after a commit's
-// CanFit check passes, or on entry to the downgrade path) — a claimed item
-// that is not finalized would strand its owner on done forever.
+// CanFit check passes, or on a downgrade) — a claimed item that is not
+// finalized would strand its owner on done forever.
 func (it *retryItem) claimFinalize() bool { return it.finalized.CompareAndSwap(false, true) }
 
 // retryRing is the bounded drop-oldest queue of commit-conflict losers.
@@ -165,9 +164,13 @@ func (r *retryRing) pop() *retryItem {
 
 // engineShard is one placement replica: its own cloned inference stack and
 // orchestrator scratch over the shared rack state. Safe to run concurrently
-// with other shards and with the engine's own PlaceBatch; a single shard
-// serves one batch at a time (the service gives each replica goroutine its
-// own shard).
+// with other shards; a single shard serves one batch at a time (the service
+// gives each replica goroutine its own shard, and SystemEngine.PlaceBatch
+// serializes its callers onto the primary shard).
+// primaryShardID is the id of the shard behind SystemEngine.PlaceBatch, below
+// the Service replicas' 0..n-1: audited as replica 0, no generation series.
+const primaryShardID = -1
+
 type engineShard struct {
 	id   int
 	eng  *SystemEngine
@@ -199,19 +202,22 @@ type engineShard struct {
 // injector and breaker (both concurrency-safe), and an independent
 // orchestrator scratch. The signature store is shared: it is internally
 // locked, so in-situ captures on the commit path become visible to every
-// shard immediately. With the
-// online learning loop armed, the clone source is the loop's current live
-// generation and the shard re-clones whenever a promotion moves it
-// (maybeReclone), so hot-swap propagates to every replica within one batch.
+// shard immediately. With the online learning loop armed, the clone source
+// is the loop's current live generation and the shard re-clones whenever a
+// promotion moves it (maybeReclone), so hot-swap propagates to every
+// replica within one batch. The clone runs under the engine lock, as in
+// maybeReclone: a shard may be minted while the engine is serving.
 func (e *SystemEngine) NewShard(id int) Engine {
-	gen, pred := 1, e.orch.Pred
+	s := &engineShard{id: id, eng: e}
+	e.mu.Lock()
+	gen, pred := 1, e.pred
 	if e.learner != nil {
 		gen, pred = e.learner.Live()
 	}
-	s := &engineShard{id: id, eng: e}
 	clone, infer := e.shardStack(pred, &s.memo)
+	e.mu.Unlock()
 	s.orch = core.NewOrchestrator(clone, e.watch, e.cfg.Beta)
-	s.orch.QoSMs = e.orch.QoSMs // read-only after engine construction
+	s.orch.QoSMs = e.qosMs // read-only after engine construction
 	s.orch.Infer = infer
 	s.gen.Store(int64(gen))
 	e.shardMu.Lock()
@@ -221,14 +227,14 @@ func (e *SystemEngine) NewShard(id int) Engine {
 }
 
 // shardStack clones pred's float models and wraps the shard-local inference
-// stack around them — quantized twin, fault injection, breaker — in the
-// same order as the engine's own stack, minus the swappable slot (a shard
-// tracks promotions by re-cloning, not by sharing the hot-swap pointer)
-// and plus a prediction memo directly on the base predictor. Under the
-// fault wrappers, the memo leaves injected faults and the breaker seeing
-// every batch. It keys on the immutable rackView windows (one retained per
-// node) and lives and dies with the stack, so a re-clone after a promotion
-// starts it empty (DESIGN.md §16).
+// stack around them: the quantized twin when configured, a prediction memo
+// directly on the base predictor, fault injection closest to the model,
+// then the shared circuit breaker on top, so the breaker sees injected
+// failures exactly as it would real ones. Under the fault wrappers, the
+// memo leaves injected faults and the breaker seeing every batch. It keys
+// on the immutable rackView windows (one retained per node) and lives and
+// dies with the stack, so a re-clone after a promotion starts it empty
+// (DESIGN.md §16).
 func (e *SystemEngine) shardStack(pred *core.Predictor, memo *core.MemoStats) (*core.Predictor, core.PerfInference) {
 	clone := &core.Predictor{Sigs: pred.Sigs}
 	if pred.Sys != nil {
@@ -282,11 +288,26 @@ func (s *engineShard) maybeReclone() {
 	e.shardReclones.Add(1)
 }
 
-// PlaceBatch implements Engine for one replica: optimistic decide against
-// the published view (no engine lock), then a single sequencer commit for
-// the whole batch's claims; conflict losers resolve through the retry ring
-// before this returns, so results are always complete.
+// PlaceBatch implements Engine for one replica; see PlaceBatchInto.
 func (s *engineShard) PlaceBatch(ctx context.Context, reqs []PlaceRequest) []PlaceResult {
+	results := make([]PlaceResult, len(reqs))
+	s.PlaceBatchInto(ctx, reqs, results)
+	return results
+}
+
+// PlaceBatchInto answers reqs[i] in the caller-owned results[i]: an
+// optimistic decide against the published view (no engine lock), then a
+// single sequencer commit for the whole batch's claims; conflict losers
+// resolve through the retry ring before this returns, so results are
+// always complete. In steady state — fixed batch shape, warm arenas, a
+// quantized prediction path (EngineConfig.Quantized), decision ring at its
+// bound, no audit log or bus, and DryRun requests — a batch allocates
+// nothing; the bench-gate CI job pins that on the decode→decide→encode
+// benchmark.
+func (s *engineShard) PlaceBatchInto(ctx context.Context, reqs []PlaceRequest, results []PlaceResult) {
+	if len(results) != len(reqs) {
+		panic("serve: PlaceBatchInto output length mismatch")
+	}
 	e := s.eng
 	// Generation check once per decide batch: a promotion since the last
 	// batch re-clones the stack before deciding, so no batch is ever
@@ -294,9 +315,8 @@ func (s *engineShard) PlaceBatch(ctx context.Context, reqs []PlaceRequest) []Pla
 	s.maybeReclone()
 	gen := int(s.gen.Load())
 	if e.learner == nil {
-		gen = 0 // match the engine path: no loop, no generation stamp
+		gen = 0 // no loop, no generation stamp
 	}
-	results := make([]PlaceResult, len(reqs))
 	if cap(s.profiles) < len(reqs) {
 		s.profiles = make([]*workload.Profile, 0, len(reqs))
 		s.idx = make([]int, 0, len(reqs))
@@ -316,50 +336,46 @@ func (s *engineShard) PlaceBatch(ctx context.Context, reqs []PlaceRequest) []Pla
 	}
 	s.profiles, s.idx = profiles, idx
 	if len(profiles) == 0 {
-		return results
+		return
 	}
 
 	// Optimistic decide: one atomic load, no lock. The batch anchors to one
 	// candidate node — the healthiest remote pool by occupancy order — so it
-	// shares that node's history window and one Ŝ forecast, exactly like the
-	// single-node batched path.
+	// shares that node's history window and one Ŝ forecast.
 	view := e.view.Load()
 	node := pickNode(view)
 	ds := s.ds[:len(profiles)]
 	s.orch.DecideBatchWindow(ctx, profiles, view.win[node],
 		view.occ[node].RemoteFreeGB, view.occ[node].FabricDegraded, node, ds)
 
-	// Claims: dry runs finalize immediately (nothing to commit); the rest go
-	// through the sequencer as one batch.
+	// Claims: dry runs are emitted immediately (nothing to commit); the
+	// rest go through the sequencer as one batch.
 	items := s.items[:0]
 	for k, i := range idx {
+		a := admission{d: ds[k], traceID: reqs[i].TraceID, batch: len(profiles),
+			gen: gen, replica: s.id + 1, res: &results[i]}
 		if reqs[i].DryRun {
-			finalizeResult(&results[i], ds[k])
-			e.shardDecisions.Add(1)
-			e.auditShardDecision(reqs[i].TraceID, ds[k], len(profiles), gen, s.id+1)
+			e.emit(&a, nil)
 			continue
 		}
-		items = append(items, &retryItem{
-			prof: profiles[k], d: ds[k], traceID: reqs[i].TraceID,
-			batch: len(profiles), gen: gen, replica: s.id + 1,
-			win: view.win[node], res: &results[i], done: make(chan struct{}),
-		})
+		items = append(items, &retryItem{admission: a, prof: profiles[k],
+			win: view.win[node], done: make(chan struct{})})
 	}
 	s.items = items[:0] // keep capacity; items escape to the ring below
 	if len(items) == 0 {
-		return results
+		return
 	}
-	losers := e.commitClaims(items)
+	losers := e.commit(items, false)
 
 	// Losers go to the shared bounded ring; this shard then drains the ring
 	// — processing any replica's losers, not just its own — until its own
 	// items resolve. A popped item always resolves before processRetry
 	// returns (no re-queue), so blocking on done cannot deadlock; an evicted
-	// item is finalized here by the pusher, so its owner always wakes.
+	// item is downgraded here by the pusher, so its owner always wakes.
 	for _, it := range losers {
 		if ev := e.retry.push(it); ev != nil {
 			e.retryDrops.Add(1)
-			e.downgradeLocal(ev)
+			e.commit([]*retryItem{ev}, true)
 		}
 	}
 	for _, it := range losers {
@@ -371,7 +387,6 @@ func (s *engineShard) PlaceBatch(ctx context.Context, reqs []PlaceRequest) []Pla
 			}
 		}
 	}
-	return results
 }
 
 func itemDone(it *retryItem) bool {
@@ -402,80 +417,64 @@ func pickNode(v *rackView) int {
 	return best
 }
 
-// commitClaims is the single sequencer: one lock acquisition commits a
-// replica's whole batch of optimistic claims. A remote claim re-validates
-// its pool against the live node — failure means another replica consumed
-// the headroom since the view was published (every committed deploy bumps
-// the view version), i.e. the claim's version check lost; it is returned
-// as a conflict loser, unfinalized. Local claims always commit. The
-// occupancy view is republished once per committed batch.
-func (e *SystemEngine) commitClaims(items []*retryItem) []*retryItem {
-	var losers []*retryItem
+// commit is the single sequencer step and the only place a served request
+// deploys: one engine-lock acquisition commits a batch of claims that share
+// one decide window. A remote claim re-validates its pool against the live
+// node — failure means another replica consumed the headroom since the
+// view was published (every committed deploy bumps the view version), i.e.
+// the claim's version check lost; it is returned as a conflict loser,
+// unfinalized. With downgrade set, each claim is instead moved to the safe
+// local tier of the least-loaded node with reason commit-conflict — the end
+// of every retry path, since local claims always commit. Every winner is
+// emitted with the instance Deploy returned, so a capacity fallback inside
+// Deploy is reported as deployed; the occupancy view is republished and the
+// learning loop told of the committed placements once per call.
+func (e *SystemEngine) commit(items []*retryItem, downgrade bool) (losers []*retryItem) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	var place []learn.Placement
+	var win []mathx.Vector
 	committed := false
 	for _, it := range items {
-		c := e.nodes[it.d.Node]
-		if it.d.Tier == memsys.TierRemote && !c.CanFit(it.prof, memsys.TierRemote) {
+		if !downgrade && it.d.Tier == memsys.TierRemote && !e.nodes[it.d.Node].CanFit(it.prof, memsys.TierRemote) {
 			e.conflicts.Add(1)
 			losers = append(losers, it)
 			continue
 		}
 		if !it.claimFinalize() {
+			// Already finalized by another path — the guard keeps the deploy
+			// and the done close from ever running twice.
 			e.dupFinalizes.Add(1)
 			continue
 		}
-		in := c.Deploy(it.prof, it.d.Tier)
+		if downgrade {
+			it.d.Tier, it.d.Fallback, it.d.Reason = memsys.TierLocal, true, core.ReasonCommitConflict
+			if n := e.View().LeastLoadedNode(); n >= 0 {
+				it.d.Node = n
+			}
+			e.downgrades.Add(1)
+		}
+		in := e.nodes[it.d.Node].Deploy(it.prof, it.d.Tier)
 		e.viewVer++
 		committed = true
-		e.learnPlacementLocked(it, in)
-		e.finalizeItemLocked(it)
+		e.emit(&it.admission, in)
+		if e.learner != nil && in.Profile.Class != workload.Interference && len(it.win) > 0 {
+			place = append(place, learn.Placement{
+				InstID: in.ID, TraceID: it.traceID, App: it.d.App, Class: in.Profile.Class,
+				Tier: it.d.Tier, Node: it.d.Node,
+				PredLocal: it.d.PredLocal, PredRem: it.d.PredRem, Gen: it.gen,
+			})
+			win = it.win
+		}
+		close(it.done)
 	}
 	if committed {
 		e.republishOccupancy()
 	}
+	if len(place) > 0 {
+		e.learner.OnBatch(win, place)
+	}
 	return losers
-}
-
-// learnPlacementLocked registers one committed shard claim with the online
-// learning loop so its realized outcome joins back to the decision — the
-// sharded counterpart of the engine path's per-batch OnBatch. Called under
-// mu, never on the dry-run path.
-func (e *SystemEngine) learnPlacementLocked(it *retryItem, in *workload.Instance) {
-	if e.learner == nil || in == nil || in.Profile.Class == workload.Interference || len(it.win) == 0 {
-		return
-	}
-	e.learner.OnBatch(it.win, []learn.Placement{{
-		InstID:    in.ID,
-		TraceID:   it.traceID,
-		App:       it.d.App,
-		Class:     in.Profile.Class,
-		Tier:      in.Tier, // the tier actually deployed, capacity fallbacks included
-		PredLocal: it.d.PredLocal,
-		PredRem:   it.d.PredRem,
-		Gen:       it.gen,
-	}})
-}
-
-// commitOne commits a single retried claim; reports whether it won.
-func (e *SystemEngine) commitOne(it *retryItem) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	c := e.nodes[it.d.Node]
-	if it.d.Tier == memsys.TierRemote && !c.CanFit(it.prof, memsys.TierRemote) {
-		e.conflicts.Add(1)
-		return false
-	}
-	if !it.claimFinalize() {
-		e.dupFinalizes.Add(1)
-		return true // already resolved elsewhere; treat as won
-	}
-	in := c.Deploy(it.prof, it.d.Tier)
-	e.viewVer++
-	e.republishOccupancy()
-	e.learnPlacementLocked(it, in)
-	e.finalizeItemLocked(it)
-	return true
 }
 
 // processRetry resolves one conflict loser: re-decide the pool against the
@@ -487,100 +486,52 @@ func (s *engineShard) processRetry(it *retryItem) {
 	for {
 		it.attempts++
 		e.commitRetries.Add(1)
-		view := e.View()
-		n := view.BestRemotePool(it.prof.FootprintGB)
+		n := e.View().BestRemotePool(it.prof.FootprintGB)
 		if n < 0 || it.attempts > maxCommitRetries {
-			e.downgradeLocal(it)
+			e.commit([]*retryItem{it}, true)
 			return
 		}
 		it.d.Node = n
-		if e.commitOne(it) {
+		if len(e.commit([]*retryItem{it}, false)) == 0 {
 			return
 		}
 	}
 }
 
-// downgradeLocal finalizes a loser on the safe local tier of the least-
-// loaded node, audited with the commit-conflict reason. Local deploys
-// always commit, so this terminates every retry path.
-func (e *SystemEngine) downgradeLocal(it *retryItem) {
-	if !it.claimFinalize() {
-		// Already finalized by a commit or another downgrade path — the
-		// guard keeps the deploy and the done close from ever running twice.
-		e.dupFinalizes.Add(1)
+// emit is the one decision record. It fills the owner's result slot and
+// fans the same fields out to the SLO counters, the audit log, the bus and
+// — for a committed claim — the admission wide event, stamped with the
+// deciding shard's model generation and 1-based replica id. in is the
+// deployed instance (nil for a dry run): when Deploy moved the claim to the
+// other tier on capacity, every record carries the tier that deployed,
+// marked as a fallback. Lock-free (the SimNow mirror stamps sim time), so
+// dry runs need not take the engine lock.
+func (e *SystemEngine) emit(a *admission, in *workload.Instance) {
+	d := &a.d
+	if in != nil && in.Tier != d.Tier {
+		d.Tier, d.Fallback = in.Tier, true
+	}
+	*a.res = PlaceResult{
+		App: a.res.App, Class: a.res.Class, TraceID: a.res.TraceID,
+		Tier: d.Tier, Node: d.Node, PredLocalS: d.PredLocal, PredRemS: d.PredRem,
+		ColdStart: d.ColdStart, Fallback: d.Fallback, Reason: d.Reason,
+	}
+	e.decisions.Add(1)
+	if core.IsDowngradeReason(d.Reason) {
+		e.sloDowngrades.Add(1)
+	}
+	if core.IsPredictFailureReason(d.Reason) {
+		e.sloPredictErrs.Add(1)
+	}
+	if e.audit == nil && e.cfg.Bus == nil && (in == nil || e.events == nil) {
 		return
 	}
-	it.d.Tier = memsys.TierLocal
-	it.d.Fallback = true
-	it.d.Reason = core.ReasonCommitConflict
-	if n := e.View().LeastLoadedNode(); n >= 0 {
-		it.d.Node = n
-	}
-	e.downgrades.Add(1)
-	e.mu.Lock()
-	in := e.nodes[it.d.Node].Deploy(it.prof, memsys.TierLocal)
-	e.viewVer++
-	e.republishOccupancy()
-	e.learnPlacementLocked(it, in)
-	e.finalizeItemLocked(it)
-	e.mu.Unlock()
-}
-
-// finalizeItemLocked publishes a committed claim: result slot, audit log,
-// bus, wide event, then the done close that releases the owning shard.
-// Called under mu — only for real commits, so the wide-event record here
-// mirrors the engine path's emitted-at-deploy rule.
-func (e *SystemEngine) finalizeItemLocked(it *retryItem) {
-	finalizeResult(it.res, it.d)
-	e.shardDecisions.Add(1)
-	e.auditShardDecision(it.traceID, it.d, it.batch, it.gen, it.replica)
-	if e.events != nil {
-		d := it.d
-		e.events.Record(obs.WideEvent{
-			Kind:        "admission",
-			TraceID:     it.traceID,
-			Time:        time.Now(),
-			SimTime:     e.SimNow(),
-			App:         d.App,
-			Class:       d.Class.String(),
-			Tier:        d.Tier.String(),
-			Node:        d.Node,
-			Reason:      d.Reason,
-			PredLocalS:  d.PredLocal,
-			PredRemoteS: d.PredRem,
-			ColdStart:   d.ColdStart,
-			Fallback:    d.Fallback,
-			BatchSize:   it.batch,
-			ModelGen:    it.gen,
-			SLOState:    e.sloStateLabel(),
-		})
-	}
-	close(it.done)
-}
-
-// finalizeResult copies a decision into a result slot (identity fields —
-// App, Class, TraceID — were set by the owning shard at admission).
-func finalizeResult(r *PlaceResult, d core.Decision) {
-	r.Tier = d.Tier
-	r.Node = d.Node
-	r.PredLocalS = d.PredLocal
-	r.PredRemS = d.PredRem
-	r.ColdStart = d.ColdStart
-	r.Fallback = d.Fallback
-	r.Reason = d.Reason
-}
-
-// auditShardDecision records one shard decision on the audit log, the SLO
-// counters, and the bus (all concurrency-safe), stamped with the deciding
-// shard's model generation and 1-based replica id. Uses the lock-free
-// SimNow mirror so dry-run finalizers need not take the engine lock.
-func (e *SystemEngine) auditShardDecision(traceID string, d core.Decision, batch, gen, replica int) {
-	e.countDecision(d.Reason)
+	now, sim, slo := time.Now(), e.SimNow(), e.sloStateLabel()
 	if e.audit != nil {
 		e.audit.Record(obs.DecisionRecord{
-			TraceID:     traceID,
-			Time:        time.Now(),
-			SimTime:     e.SimNow(),
+			TraceID:     a.traceID,
+			Time:        now,
+			SimTime:     sim,
 			App:         d.App,
 			Class:       d.Class.String(),
 			Tier:        d.Tier.String(),
@@ -588,22 +539,42 @@ func (e *SystemEngine) auditShardDecision(traceID string, d core.Decision, batch
 			PredLocalS:  d.PredLocal,
 			PredRemoteS: d.PredRem,
 			Beta:        e.cfg.Beta,
-			QoSMs:       e.orch.QoSMs[d.App],
+			QoSMs:       e.qosMs[d.App],
 			ColdStart:   d.ColdStart,
 			Fallback:    d.Fallback,
 			Reason:      d.Reason,
-			BatchSize:   batch,
-			ModelGen:    gen,
-			Replica:     replica,
-			SLOState:    e.sloStateLabel(),
+			BatchSize:   a.batch,
+			ModelGen:    a.gen,
+			Replica:     a.replica,
+			SLOState:    slo,
 		})
 	}
 	if e.cfg.Bus != nil {
 		_, _ = e.cfg.Bus.Publish("orchestrator.decisions", decisionEvent{
-			TraceID: traceID, App: d.App, Class: d.Class.String(),
+			TraceID: a.traceID, App: d.App, Class: d.Class.String(),
 			Tier: d.Tier.String(), Node: d.Node, PredLocal: d.PredLocal,
 			PredRem: d.PredRem, ColdStart: d.ColdStart, Reason: d.Reason,
-			ModelGen: gen,
+			ModelGen: a.gen,
+		})
+	}
+	if in != nil && e.events != nil {
+		e.events.Record(obs.WideEvent{
+			Kind:        "admission",
+			TraceID:     a.traceID,
+			Time:        now,
+			SimTime:     sim,
+			App:         d.App,
+			Class:       d.Class.String(),
+			Tier:        d.Tier.String(),
+			Node:        d.Node,
+			Reason:      d.Reason,
+			PredLocalS:  d.PredLocal,
+			PredRemoteS: d.PredRem,
+			ColdStart:   d.ColdStart,
+			Fallback:    d.Fallback,
+			BatchSize:   a.batch,
+			ModelGen:    a.gen,
+			SLOState:    slo,
 		})
 	}
 }

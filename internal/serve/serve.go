@@ -77,13 +77,12 @@ type Engine interface {
 	PlaceBatch(ctx context.Context, reqs []PlaceRequest) []PlaceResult
 }
 
-// ShardedEngine is an Engine that can mint per-replica deciders. Each shard
-// is an Engine safe to run concurrently with its siblings (typically by
+// ShardedEngine is an Engine that mints per-replica deciders. Each shard is
+// an Engine safe to run concurrently with its siblings (typically by
 // deciding optimistically over a shared snapshot and committing through a
-// sequencer). NewShard may return nil when sharding is unavailable, in
-// which case the service falls back to routing that replica through the
-// shared engine. SystemEngine always shards: with the online learning loop
-// armed its shards are generation-aware, re-cloning from the promoted live
+// sequencer). The service gives every replica its own shard — Replicas=1
+// is the one-shard case. SystemEngine's shards are generation-aware: with
+// the online learning loop armed they re-clone from the promoted live
 // predictor within one batch of a hot swap (DESIGN.md §14).
 type ShardedEngine interface {
 	Engine
@@ -112,9 +111,10 @@ type Config struct {
 	// AuditCapacity bounds the /debug/decisions ring (default 1024).
 	AuditCapacity int
 	// Replicas sets how many batcher goroutines pull from the admission
-	// queue (default 1). With a ShardedEngine each replica gets its own
-	// decider shard, so batches decide concurrently over the shared rack
-	// state and placement throughput scales with replicas.
+	// queue (default 1). With a ShardedEngine every replica — the only one
+	// included — gets its own decider shard, so batches decide concurrently
+	// over the shared rack state and placement throughput scales with
+	// replicas; other engines are shared by the replicas.
 	Replicas int
 }
 
@@ -181,17 +181,15 @@ func NewService(eng Engine, cfg Config) *Service {
 	}
 	s.met.queueDepth = func() int { return len(s.queue) }
 	// Replica batchers: each pulls from the shared admission queue with its
-	// own decider shard when the engine can mint one; otherwise replicas
+	// own decider shard when the engine mints them; otherwise replicas
 	// share eng (safe — engines serialize internally) and scale only the
 	// batching, not the inference. drained closes after every replica has
 	// finished its final drain sweep.
 	var wg sync.WaitGroup
 	for i := 0; i < cfg.Replicas; i++ {
 		worker := eng
-		if sh, ok := eng.(ShardedEngine); ok && cfg.Replicas > 1 {
-			if shard := sh.NewShard(i); shard != nil {
-				worker = shard
-			}
+		if sh, ok := eng.(ShardedEngine); ok {
+			worker = sh.NewShard(i)
 		}
 		wg.Add(1)
 		go func(worker Engine) {
@@ -305,7 +303,7 @@ func (s *Service) Close(ctx context.Context) error {
 
 // run is one replica's batcher goroutine: it coalesces queued requests into
 // batches and serves them through its engine (a per-replica shard, or the
-// shared engine when sharding is unavailable). drained is closed by the
+// shared engine when it does not shard). drained is closed by the
 // service once every replica's drain sweep has returned.
 func (s *Service) run(eng Engine) {
 	for {

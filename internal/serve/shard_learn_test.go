@@ -148,16 +148,18 @@ func TestRetryDoubleFinalizeGuard(t *testing.T) {
 	prof := registry.ByName("ibench-l3")
 	var res PlaceResult
 	it := &retryItem{
-		prof: prof,
-		d:    core.Decision{App: prof.Name, Class: prof.Class, Tier: memsys.TierRemote},
-		res:  &res, done: make(chan struct{}),
+		admission: admission{
+			d:   core.Decision{App: prof.Name, Class: prof.Class, Tier: memsys.TierRemote},
+			res: &res,
+		},
+		prof: prof, done: make(chan struct{}),
 	}
-	eng.downgradeLocal(it)
+	eng.commit([]*retryItem{it}, true)
 	if !itemDone(it) {
 		t.Fatal("first finalize did not complete the item")
 	}
 	first := res
-	eng.downgradeLocal(it) // second finalizer loses the claim
+	eng.commit([]*retryItem{it}, true) // second finalizer loses the claim
 	if res.Tier != first.Tier || res.Reason != first.Reason {
 		t.Errorf("second finalize mutated the result: %+v -> %+v", first, res)
 	}

@@ -42,12 +42,14 @@ func TestCommitConflictDeterministic(t *testing.T) {
 	results := make([]PlaceResult, R)
 	for i := range items {
 		items[i] = &retryItem{
-			prof: prof,
-			d:    core.Decision{App: prof.Name, Class: prof.Class, Tier: memsys.TierRemote, ColdStart: true},
-			res:  &results[i], done: make(chan struct{}),
+			admission: admission{
+				d:   core.Decision{App: prof.Name, Class: prof.Class, Tier: memsys.TierRemote, ColdStart: true},
+				res: &results[i],
+			},
+			prof: prof, done: make(chan struct{}),
 		}
 	}
-	losers := eng.commitClaims(items)
+	losers := eng.commit(items, false)
 	if len(losers) != R-1 {
 		t.Fatalf("losers = %d, want %d", len(losers), R-1)
 	}
@@ -84,13 +86,16 @@ func TestCommitConflictDeterministic(t *testing.T) {
 	if got := eng.downgrades.Load(); got != R-1 {
 		t.Errorf("downgrades = %d, want %d", got, R-1)
 	}
-	if got := eng.shardDecisions.Load(); got != R {
+	if got := eng.decisions.Load(); got != R {
 		t.Errorf("shard decisions = %d, want %d", got, R)
 	}
 }
 
-// TestShardHammerLastSlice runs R replica shards concurrently (under -race
-// in CI), all placing the same cold-start app against a pool that fits one.
+// TestShardHammerLastSlice runs four replica shards concurrently (under
+// -race in CI), plus two callers of the engine's own PlaceBatch, which
+// serializes them onto its primary shard — all placing the same cold-start
+// app against a pool that fits one. The primary's second batch decides
+// after its first has committed, so at most five claims contend at once.
 // Whatever the interleaving: exactly one placement lands remote, every
 // other request is answered local, and the conflict/retry/downgrade
 // counters stay mutually consistent — every conflict loser is retried
@@ -98,13 +103,8 @@ func TestCommitConflictDeterministic(t *testing.T) {
 // downgrades with the audited commit-conflict reason.
 func TestShardHammerLastSlice(t *testing.T) {
 	eng := lastSliceEngine(t, 53)
-	const R = 4
-	shards := make([]Engine, R)
-	for i := range shards {
-		if shards[i] = eng.NewShard(i); shards[i] == nil {
-			t.Fatal("NewShard returned nil without a learner")
-		}
-	}
+	const R, contenders = 6, 5
+	shards := []Engine{eng.NewShard(0), eng.NewShard(1), eng.NewShard(2), eng.NewShard(3), eng, eng}
 	start := make(chan struct{})
 	results := make([]PlaceResult, R)
 	var wg sync.WaitGroup
@@ -151,10 +151,10 @@ func TestShardHammerLastSlice(t *testing.T) {
 		t.Errorf("counter drift: conflicts=%d retries=%d downgrades=%d commit-conflict results=%d",
 			conflicts, retries, downgrades, lost)
 	}
-	if conflicts > R-1 {
-		t.Errorf("conflicts = %d, cannot exceed %d losers", conflicts, R-1)
+	if conflicts > contenders-1 {
+		t.Errorf("conflicts = %d, cannot exceed %d losers", conflicts, contenders-1)
 	}
-	if got := eng.shardDecisions.Load(); got != R {
+	if got := eng.decisions.Load(); got != R {
 		t.Errorf("shard decisions = %d, want %d", got, R)
 	}
 	t.Logf("hammer: %d conflicts, %d retries, %d downgrades", conflicts, retries, downgrades)
@@ -170,7 +170,7 @@ func TestRetryRingDropOldest(t *testing.T) {
 	items := make([]*retryItem, retryRingCap+extra)
 	var evicted []*retryItem
 	for i := range items {
-		items[i] = &retryItem{traceID: fmt.Sprint(i)}
+		items[i] = &retryItem{admission: admission{traceID: fmt.Sprint(i)}}
 		if ev := r.push(items[i]); ev != nil {
 			evicted = append(evicted, ev)
 		}
@@ -198,7 +198,7 @@ func TestRetryRingDropOldest(t *testing.T) {
 }
 
 // TestRetryDropFinalizes: an item evicted from the full ring must still be
-// finalized by the pusher (downgradeLocal) — its caller is blocked on the
+// finalized by the pusher (a downgrading commit) — its caller is blocked on the
 // done channel and must get an answer — and the drop shows up on the
 // exported counter.
 func TestRetryDropFinalizes(t *testing.T) {
@@ -206,13 +206,15 @@ func TestRetryDropFinalizes(t *testing.T) {
 	prof := registry.ByName("ibench-l3")
 	var res PlaceResult
 	it := &retryItem{
-		prof: prof,
-		d:    core.Decision{App: prof.Name, Class: prof.Class, Tier: memsys.TierRemote},
-		res:  &res, done: make(chan struct{}),
+		admission: admission{
+			d:   core.Decision{App: prof.Name, Class: prof.Class, Tier: memsys.TierRemote},
+			res: &res,
+		},
+		prof: prof, done: make(chan struct{}),
 	}
 	// Simulate the pusher's eviction handling.
 	eng.retryDrops.Add(1)
-	eng.downgradeLocal(it)
+	eng.commit([]*retryItem{it}, true)
 	if !itemDone(it) {
 		t.Fatal("evicted item not finalized")
 	}
